@@ -124,7 +124,12 @@ def bench_bound() -> dict:
         "fastest_price": fastest.cost,
         "bound_met": stats.market_time_ms <= LATENCY_BOUND_MS,
         "cheap_enough": stats.price <= fastest.cost,
-        "really_slept": wall_ms >= stats.market_time_ms * REALTIME_SCALE * 0.9,
+        # Calls may overlap (parallel remainders, prefetched accesses), so
+        # the wall-clock must cover the fetch schedule's critical path.
+        "really_slept": (
+            wall_ms
+            >= stats.market_time_critical_path_ms * REALTIME_SCALE * 0.9
+        ),
     }
 
 

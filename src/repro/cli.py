@@ -132,12 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "from the estimate by more than THRESHOLD× (off by default)",
     )
     session.add_argument(
-        "--transport", default="threaded", choices=["threaded", "async"],
-        help="fetch driver: 'threaded' (the classic thread-pool path, "
-        "default) or 'async' (pipelined event loop with per-seller "
-        "connection pools and cross-access prefetch)",
-    )
-    session.add_argument(
         "--state-dir", default=None, metavar="DIR",
         help="durable WAL-backed buyer state: purchases, statistics, and "
         "the bill survive crashes and restarts; rerunning with the same "
@@ -244,7 +238,6 @@ def _cmd_session_concurrent(args: argparse.Namespace, data, instances) -> int:
         objective=_objective_of(args),
         adaptive=_adaptive_of(args),
         state_dir=args.state_dir,
-        transport_mode=args.transport,
     )
     tier = ServiceTier.named(args.tier) if args.tier else None
     config = ServeConfig(
@@ -300,7 +293,6 @@ def _cmd_session(args: argparse.Namespace) -> int:
         objective=_objective_of(args),
         adaptive=_adaptive_of(args),
         state_dir=args.state_dir,
-        transport_mode=args.transport,
     )
     print()
     print(

@@ -9,6 +9,8 @@ optimizer, baselines, and executor.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.rewriter import SemanticRewriter
@@ -68,8 +70,6 @@ class PlanningContext:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         execution: ExecutionConfig | None = None,
-        transport_mode: str = "threaded",
-        async_pool_size: int | None = None,
         prefetch: bool = True,
     ):
         self.market = market
@@ -101,39 +101,17 @@ class PlanningContext:
             )
         if max_concurrent_calls is not None and max_concurrent_calls < 1:
             raise PlanningError("max_concurrent_calls must be >= 1")
-        #: Upper bound on concurrently in-flight market calls per table
-        #: access during execution (see :mod:`repro.core.executor`).
+        #: Upper bound on concurrently in-flight market calls of one
+        #: executing query: its fetch pool's size (see
+        #: :mod:`repro.core.executor`).
         self.max_concurrent_calls = (
             max_concurrent_calls
             if max_concurrent_calls is not None
             else self.DEFAULT_MAX_CONCURRENT_CALLS
         )
-        if transport_mode not in ("threaded", "async"):
-            raise PlanningError(
-                f"transport_mode must be 'threaded' or 'async', "
-                f"got {transport_mode!r}"
-            )
-        #: The fetch driver executors use.  "threaded" keeps the
-        #: historical thread-pool path byte-identical; "async" attaches a
-        #: pipelined event-loop driver with per-seller connection pools
-        #: (:mod:`repro.market.aio`) wrapping the *same* transport above.
-        self.transport_mode = transport_mode
-        #: Whether async executors prefetch upcoming non-bind accesses.
+        #: Whether executors prefetch upcoming non-bind accesses on their
+        #: fetch pool (see :mod:`repro.core.executor`).
         self.prefetch = prefetch
-        if transport_mode == "async":
-            from repro.market.aio import DEFAULT_POOL_SIZE, AsyncMarketTransport
-
-            self.async_transport = AsyncMarketTransport(
-                self.transport,
-                pool_size=(
-                    async_pool_size
-                    if async_pool_size is not None
-                    else DEFAULT_POOL_SIZE
-                ),
-                metrics=self.metrics,
-            )
-        else:
-            self.async_transport = None
         #: Singleflight group coalescing overlapping in-flight market
         #: fetches across concurrent sessions (``None`` = no coalescing).
         #: Wired by :class:`~repro.serve.scheduler.QueryScheduler`; the
@@ -147,6 +125,39 @@ class PlanningContext:
         self._local_info: dict[str, LocalTableInfo] = {}
         self._dataset_of: dict[str, str] = {}
         self._schemas: dict[str, Schema] = {}
+        #: Idle executor fetch pools by size (see :meth:`borrow_fetch_pool`).
+        self._idle_fetch_pools: list[tuple[int, ThreadPoolExecutor]] = []
+        self._fetch_pool_lock = threading.Lock()
+
+    # -- executor fetch pools ---------------------------------------------------
+
+    def borrow_fetch_pool(self, workers: int) -> ThreadPoolExecutor:
+        """A fetch pool of ``workers`` threads for one executor's sole use.
+
+        Pools are recycled between executors (:meth:`return_fetch_pool`)
+        so a query does not pay thread start-up for every call it runs in
+        parallel; one pool still serves one executor at a time.
+        """
+        with self._fetch_pool_lock:
+            for index, (size, pool) in enumerate(self._idle_fetch_pools):
+                if size == workers:
+                    del self._idle_fetch_pools[index]
+                    return pool
+        return ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="fetch"
+        )
+
+    def return_fetch_pool(self, workers: int, pool: ThreadPoolExecutor) -> None:
+        """Park an idle pool (no call of its executor still running)."""
+        with self._fetch_pool_lock:
+            self._idle_fetch_pools.append((workers, pool))
+
+    def close_fetch_pools(self) -> None:
+        """Shut down every idle fetch pool and join its threads."""
+        with self._fetch_pool_lock:
+            pools, self._idle_fetch_pools = self._idle_fetch_pools, []
+        for __, pool in pools:
+            pool.shutdown(wait=True)
 
     # -- registration -----------------------------------------------------------
 

@@ -11,10 +11,13 @@ DBMS and the whole query is evaluated there (steps 6-8).
 
 Remainder REST calls within one table access are independent (their boxes
 are disjoint and the market is read-only), so they are dispatched through
-a thread pool of ``max_concurrent_calls`` workers.  Responses are recorded
-into the store and statistics serially in remainder order, which keeps
-every downstream state — coverage, histograms, billing totals — identical
-to serial execution; only wall-clock changes, reported both ways as
+a thread pool of ``max_concurrent_calls`` workers.  The same pool runs
+cross-access prefetch: the plan's certain (non-bind) accesses are
+rewritten at query start and their calls put in flight while earlier
+accesses and joins execute.  Responses are recorded into the store and
+statistics serially in remainder order, which keeps every downstream
+state — coverage, histograms, billing totals — identical to serial
+execution; only wall-clock changes, reported both ways as
 ``market_time_ms`` (serial sum) and ``market_time_critical_path_ms``
 (simulated makespan under the concurrency limit).
 
@@ -31,12 +34,16 @@ with the failed regions reported on the result.
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import itertools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import (
+    FIRST_EXCEPTION,
+    Future,
+    ThreadPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -100,24 +107,46 @@ class CoveredSkip:
 
 
 @dataclass
-class _PrefetchEntry:
-    """One upcoming table access whose remainder calls are already in
-    flight on the event loop (async transport only).
+class _CallBatch:
+    """One table access's remainder calls, issued and not yet collected.
 
-    Created at query start from the chosen plan's non-bind market
-    accesses; consumed by :meth:`Executor._fetch_market_inner` when the
-    plan walk reaches the table.  ``token``/``checkpoint`` were claimed at
-    schedule time so ledger attribution is identical either way.  If the
-    query fails before consuming the entry, the drain path still waits for
-    the calls and records every *paid* box into the store — billed money
-    must always buy durable coverage, never be silently dropped.
+    ``calls`` holds one entry per remainder, in request order: a pool
+    :class:`~concurrent.futures.Future`, or the finished
+    ``(outcome, call_span)`` pair of a call that ran inline.
+    ``lead_flights`` gathers the singleflight flights the calls led; the
+    collector retires them under the table lock once their rows are
+    recorded.  ``ready_ms`` is the simulated time the batch was issued
+    at: the critical path so far (0 for a prefetch, issued at query
+    start).
+    """
+
+    ready_ms: float = 0.0
+    calls: list = field(default_factory=list)
+    lead_flights: list = field(default_factory=list)
+    lead_lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+@dataclass
+class _Access:
+    """One table access whose purchase is under way: its rewrite, the
+    ledger token and checkpoint claimed for it, and its issued calls.
+
+    A prefetched access is created at query start from the chosen plan's
+    non-bind market accesses (with its detached ``table_fetch`` span when
+    tracing) and consumed by :meth:`Executor._fetch_market` when the plan
+    walk reaches the table; token and checkpoint were claimed at schedule
+    time, so ledger attribution is identical either way.  If the query
+    fails before consuming it, the drain path still waits for the calls
+    and records every *paid* box into the store — billed money must
+    always buy durable coverage, never be silently dropped.
     """
 
     table: str
     rewrite: object
     token: str
     checkpoint: int
-    future: object
+    batch: _CallBatch
+    span: object = None
 
 
 @dataclass
@@ -133,8 +162,10 @@ class ExecutionResult:
     #: retries and backoff waits of the money-safe transport).
     market_time_ms: float = 0.0
     #: Simulated wall-clock with ``max_concurrent_calls`` in-flight calls:
-    #: the critical path of the fetch schedule.  Equals ``market_time_ms``
-    #: when executing serially.
+    #: the critical path of the fetch schedule, with prefetched accesses
+    #: starting at query start (contention between overlapping accesses
+    #: for pool threads is not modelled).  Equals ``market_time_ms`` when
+    #: executing serially.
     market_time_critical_path_ms: float = 0.0
     #: Transport accounting (see :mod:`repro.market.transport`).
     retries: int = 0
@@ -159,10 +190,8 @@ class ExecutionResult:
     #: tripped).
     replans: int = 0
     replan_dollars_saved_est: float = 0.0
-    #: Which transport driver executed the fetches ("threaded"/"async")
-    #: and how many table accesses were served from a cross-access
-    #: prefetch scheduled at query start (async mode only).
-    transport_mode: str = "threaded"
+    #: Table accesses served from a cross-access prefetch scheduled at
+    #: query start.
     prefetch_hits: int = 0
 
     @property
@@ -257,7 +286,7 @@ class _Fetched:
 class Executor:
     """Executes one optimized plan for one logical query.
 
-    ``max_concurrent_calls`` bounds in-flight REST calls per table access;
+    ``max_concurrent_calls`` bounds the query's in-flight REST calls;
     ``None`` inherits the planning context's setting, and ``1`` executes
     serially (bit-for-bit the historical behaviour).
     """
@@ -284,31 +313,41 @@ class Executor:
         #: cost metric, ... — the suffix is planned like the original).
         self.adaptive = adaptive
         self.optimizer_options = optimizer_options
-        #: The async driver (:mod:`repro.market.aio`), or ``None`` for the
-        #: historical threaded path.  Wired by the planning context when
-        #: ``QueryOptions(transport_mode="async")``.
-        self._aio = getattr(context, "async_transport", None)
-        #: Cross-access prefetch only makes sense on the async driver and
-        #: only for a *static* plan: an adaptive executor may re-plan the
-        #: suffix mid-query, and prefetch must never buy for a plan that
-        #: might be abandoned (wasted dollars must stay provably zero).
+        #: Cross-access prefetch needs a pool to run behind the plan walk
+        #: (``max_concurrent_calls=1`` stays serial), and only a *static*
+        #: plan may use it: an adaptive executor may re-plan the suffix
+        #: mid-query, and prefetch must never buy for a plan that might be
+        #: abandoned (wasted dollars must stay provably zero).
         self._prefetch_enabled = (
-            self._aio is not None
+            context.prefetch
             and adaptive is None
-            and getattr(context, "prefetch", True)
+            and self.max_concurrent_calls > 1
         )
-        #: Long-lived thread pool for the threaded path, shared by every
-        #: table access of this executor (lazily created, shut down by
-        #: :meth:`close`) — the historical per-access pool paid thread
-        #: startup on every access.
+        #: The fetch pool, shared by every table access and prefetch of
+        #: this executor (borrowed from the context on first use, given
+        #: back by :meth:`close`).  It never serves two executors at once:
+        #: a coalescing follower blocks its worker thread, and must never
+        #: wait on a leader queued behind it in the same pool.
         self._call_pool: ThreadPoolExecutor | None = None
-        self._prefetched: dict[str, _PrefetchEntry] = {}
+        #: Every call this executor put on the pool, so :meth:`close` can
+        #: wait for calls a failed query left running.
+        self._pool_calls: list[Future] = []
+        self._prefetched: dict[str, _Access] = {}
+        #: Market calls of this executor running right now, across all
+        #: its batches (prefetched accesses overlap), feeding the
+        #: ``fetch_pool_high_water`` gauge.
+        self._in_flight = 0
+        self._in_flight_lock = threading.Lock()
+        self._high_water = context.metrics.gauge("fetch_pool_high_water")
 
     def close(self) -> None:
-        """Release execution resources (idempotent; called by PayLess)."""
+        """Release execution resources (idempotent; called by PayLess):
+        wait for any call still running, then give the pool back."""
         pool, self._call_pool = self._call_pool, None
         if pool is not None:
-            pool.shutdown(wait=True)
+            wait(self._pool_calls)
+            self._pool_calls = []
+            self.context.return_fetch_pool(self.max_concurrent_calls, pool)
 
     def execute(self, query: LogicalQuery, plan: PlanNode) -> ExecutionResult:
         self._query = query
@@ -396,7 +435,6 @@ class Executor:
             covered_skips=scope.covered_skips,
             replans=self._replans,
             replan_dollars_saved_est=self._replan_saved,
-            transport_mode="async" if self._aio is not None else "threaded",
             prefetch_hits=self._prefetch_hits,
         )
 
@@ -444,12 +482,15 @@ class Executor:
 
     def _schedule_prefetch(self, plan: PlanNode) -> None:
         """Rewrite every certain upcoming access *now* and put its
-        remainder calls in flight on the event loop, so market latency
+        remainder calls in flight on the fetch pool, so market latency
         overlaps earlier accesses and local join evaluation instead of
-        serializing behind them."""
+        serializing behind them.  A lone certain access gains nothing:
+        the plan walk reaches it first anyway."""
         tables: list[str] = []
         self._prefetchable_tables(plan, tables)
-        ledger = self.context.market.ledger
+        if len(tables) < 2:
+            return
+        tracer = self.context.tracer
         for table in tables:
             key = table.lower()
             if key in self._prefetched:
@@ -457,99 +498,54 @@ class Executor:
                 # only the first access is prefetched; the second re-
                 # rewrites against the then-current store like any other.
                 continue
-            table_store = self.context.store.table(table)
-            constraints = list(self._query.constraints_for(table))
-            with table_store.lock:
-                rewrite = self.context.rewriter.rewrite(
+            span = (
+                tracer.detached_span("table_fetch", table=table, source="access")
+                if tracer.enabled
+                else None
+            )
+            with tracer.within(span):
+                access = self._issue_access(
                     table,
-                    constraints,
-                    self.context.tuples_per_transaction(table),
+                    list(self._query.constraints_for(table)),
+                    prefetch=True,
                 )
-                if rewrite.store_epoch != table_store.epoch:
-                    raise ExecutionError(
-                        f"stale rewrite for {table!r}: computed at store "
-                        f"epoch {rewrite.store_epoch}, executing at "
-                        f"{table_store.epoch}"
-                    )
-            dataset = self.context.dataset_of(table)
-            self._access_seq += 1
-            token = f"{self._query_token}:a{self._access_seq}"
-            checkpoint = ledger.checkpoint()
-            future = self._submit_async_calls(
-                dataset, table, rewrite.remainder, token
-            )
-            self._prefetched[key] = _PrefetchEntry(
-                table=table,
-                rewrite=rewrite,
-                token=token,
-                checkpoint=checkpoint,
-                future=future,
-            )
+            access.span = span
+            self._prefetched[key] = access
 
     def _drain_prefetch(self) -> None:
-        """Settle prefetch entries the plan walk never consumed.
+        """Settle prefetched accesses the plan walk never consumed.
 
         Never cancels after billing: every completed purchase is recorded
         into the store (and the durability log) under the table lock, and
         every led singleflight is released so no waiter hangs on a query
-        that died.  The dollars spent on unconsumed entries are counted in
+        that died.  The dollars spent on unconsumed accesses are counted in
         ``prefetch_wasted_dollars`` — zero for every successfully
         completed query, which the test suite asserts.
         """
         if not self._prefetched:
             return
-        entries = list(self._prefetched.values())
+        accesses = list(self._prefetched.values())
         self._prefetched = {}
         store = self.context.store
-        coalescer = self.context.coalescer
-        durability = self.context.durability
         ledger = self.context.market.ledger
         metrics = self.context.metrics
-        for entry in entries:
+        for access in accesses:
             try:
-                results, lead_flights = entry.future.result()
+                outcomes = self._collect_calls(access.batch, None)
             except BaseException:
-                # The batch died before producing outcomes (a market
-                # rejection or simulated crash escaped a coroutine);
-                # nothing completed under this token that we could record.
+                # A call raised instead of producing an outcome (a
+                # market rejection or simulated crash).  The query is
+                # already failing with its own error; as on the access
+                # path, the batch is not recorded.
                 continue
-            outcomes = [outcome for outcome, _ in results]
-            table_store = store.table(entry.table)
-            statistics = self.context.catalog.statistics(entry.table)
-            purchases_logged = False
-            with table_store.lock:
-                for remainder, outcome in zip(
-                    entry.rewrite.remainder, outcomes
-                ):
-                    if isinstance(outcome, (FailedFetch, CoveredSkip)):
-                        continue
-                    response = outcome.response
-                    store.record(entry.table, remainder.box, response.rows)
-                    statistics.histogram.observe(
-                        remainder.box, response.record_count
-                    )
-                    if durability is not None:
-                        durability.log_purchase(
-                            table=entry.table,
-                            box=remainder.box,
-                            rows=response.rows,
-                            count=response.record_count,
-                            stored_at=store.clock,
-                            url=response.request.url(),
-                            key=outcome.idempotency_key,
-                            transactions=outcome.billed_transactions,
-                            price=outcome.billed_price,
-                            coalesced=outcome.coalesced,
-                            saved_transactions=outcome.saved_transactions,
-                            saved_price=outcome.saved_price,
-                        )
-                        purchases_logged = True
-                if purchases_logged:
-                    durability.commit()
-                if coalescer is not None:
-                    for flight in lead_flights:
-                        coalescer.release(flight)
-            billed = ledger.entries_for_token(entry.token, entry.checkpoint)
+            with store.table(access.table).lock:
+                self._record(
+                    access.table,
+                    access.rewrite.remainder,
+                    outcomes,
+                    access.batch.lead_flights,
+                )
+            billed = ledger.entries_for_token(access.token, access.checkpoint)
             spent = sum(
                 e.price for e in billed if not ledger.is_wasted(e)
             )
@@ -824,18 +820,65 @@ class Executor:
         source: str = "access",
     ) -> Relation:
         """Rewrite, buy the remainder, record feedback, return region rows."""
+        access = None
+        if source == "access" and not extra_constraints and self._prefetched:
+            access = self._prefetched.pop(table.lower(), None)
         tracer = self.context.tracer
         if not tracer.enabled:
-            return self._fetch_market_inner(table, extra_constraints, None, source)
+            return self._fetch_market_inner(
+                table, extra_constraints, None, access
+            )
+        if access is not None:
+            with tracer.attach(access.span) as span:
+                return self._fetch_market_inner(
+                    table, extra_constraints, span, access
+                )
         with tracer.span("table_fetch", table=table, source=source) as span:
-            return self._fetch_market_inner(table, extra_constraints, span, source)
+            return self._fetch_market_inner(
+                table, extra_constraints, span, None
+            )
+
+    def _issue_access(
+        self, table: str, constraints: list, prefetch: bool = False
+    ) -> _Access:
+        """Rewrite one access against the store *now* and issue its
+        remainder calls under a fresh ledger attribution token."""
+        table_store = self.context.store.table(table)
+        # Rewrite under the table lock: the rewrite decides what money to
+        # spend, so it must reflect the store *now*, and under concurrent
+        # serving other sessions record into this table at any moment.
+        # Holding the lock pins the epoch across rewrite + check, so the
+        # staleness guard below can only trip if a stale-caching bug is
+        # reintroduced somewhere upstream (the rewriter memo keys on the
+        # epoch).
+        with table_store.lock:
+            rewrite = self.context.rewriter.rewrite(
+                table,
+                constraints,
+                self.context.tuples_per_transaction(table),
+            )
+            current_epoch = table_store.epoch
+            if rewrite.store_epoch != current_epoch:
+                raise ExecutionError(
+                    f"stale rewrite for {table!r}: computed at store "
+                    f"epoch {rewrite.store_epoch}, executing at "
+                    f"{current_epoch}"
+                )
+        dataset = self.context.dataset_of(table)
+        self._access_seq += 1
+        token = f"{self._query_token}:a{self._access_seq}"
+        checkpoint = self.context.market.ledger.checkpoint()
+        batch = self._submit_calls(
+            dataset, table, rewrite.remainder, token, prefetch
+        )
+        return _Access(table, rewrite, token, checkpoint, batch)
 
     def _fetch_market_inner(
         self,
         table: str,
         extra_constraints: tuple[AttributeConstraint, ...],
         span,
-        source: str = "access",
+        access: _Access | None,
     ) -> Relation:
         constraints = list(self._query.constraints_for(table)) + list(
             extra_constraints
@@ -843,106 +886,23 @@ class Executor:
         store = self.context.store
         table_store = store.table(table)
         ledger = self.context.market.ledger
-        entry = None
-        if source == "access" and not extra_constraints and self._prefetched:
-            entry = self._prefetched.pop(table.lower(), None)
-        if entry is not None:
-            # The access was prefetched at query start: its rewrite, token
-            # and checkpoint were claimed then, and its remainder calls
-            # have been in flight while earlier accesses (and their joins)
-            # executed.  Everything below the issue step is identical.
-            rewrite = entry.rewrite
-            access_token = entry.token
-            checkpoint = entry.checkpoint
-            outcomes, lead_flights = self._collect_async_calls(
-                entry.future, span
-            )
+        if access is None:
+            access = self._issue_access(table, constraints)
+        else:
+            # The access was prefetched at query start: its calls have
+            # been in flight while earlier accesses (and their joins)
+            # executed.  Everything from here on is identical.
             self._prefetch_hits += 1
             self.context.metrics.counter("prefetch_hits").inc()
-        else:
-            # Rewrite under the table lock: the rewrite decides what money
-            # to spend, so it must reflect the store *now*, and under
-            # concurrent serving other sessions record into this table at
-            # any moment.  Holding the lock pins the epoch across rewrite
-            # + check, so the staleness guard below can only trip if a
-            # stale-caching bug is reintroduced somewhere upstream (the
-            # rewriter memo keys on the epoch).
-            with table_store.lock:
-                rewrite = self.context.rewriter.rewrite(
-                    table,
-                    constraints,
-                    self.context.tuples_per_transaction(table),
-                )
-                current_epoch = table_store.epoch
-                if rewrite.store_epoch != current_epoch:
-                    raise ExecutionError(
-                        f"stale rewrite for {table!r}: computed at store "
-                        f"epoch {rewrite.store_epoch}, executing at "
-                        f"{current_epoch}"
-                    )
-            dataset = self.context.dataset_of(table)
-            self._access_seq += 1
-            access_token = f"{self._query_token}:a{self._access_seq}"
-            checkpoint = ledger.checkpoint()
-            outcomes, lead_flights = self._issue_market_calls(
-                dataset, table, rewrite.remainder, access_token, span
-            )
-        statistics = self.context.catalog.statistics(table)
-        # Record serially in remainder order: store coverage, histogram
-        # feedback, and billing totals end up identical to serial fetch.
-        # Only *completed* fetches are recorded — a failed box must never
-        # enter the coverage index, or a future query would silently skip
-        # buying data it does not have (the store-poisoning hazard).
-        # Coalesced results record too (store dedup and the identical
-        # histogram observation make it idempotent against the leader's
-        # own record) — a waiter must never read the store before its
-        # shared rows are in it.  The whole section holds the table lock:
-        # recording, retiring led flights, and assembling the result rows
-        # are one atomic switch-over from any other session's view.
-        failed: list[FailedFetch] = []
-        purchased_rows = 0
-        purchases_logged = False
-        coalescer = self.context.coalescer
-        durability = self.context.durability
+        rewrite = access.rewrite
+        outcomes = self._collect_calls(access.batch, span)
+        # The whole section holds the table lock: recording, retiring led
+        # flights, and assembling the result rows are one atomic
+        # switch-over from any other session's view.
         with table_store.lock:
-            for remainder, outcome in zip(rewrite.remainder, outcomes):
-                if isinstance(outcome, FailedFetch):
-                    failed.append(outcome)
-                    continue
-                if isinstance(outcome, CoveredSkip):
-                    continue
-                response = outcome.response
-                purchased_rows += response.record_count
-                store.record(table, remainder.box, response.rows)
-                statistics.histogram.observe(
-                    remainder.box, response.record_count
-                )
-                if durability is not None:
-                    durability.log_purchase(
-                        table=table,
-                        box=remainder.box,
-                        rows=response.rows,
-                        count=response.record_count,
-                        stored_at=store.clock,
-                        url=response.request.url(),
-                        key=outcome.idempotency_key,
-                        transactions=outcome.billed_transactions,
-                        price=outcome.billed_price,
-                        coalesced=outcome.coalesced,
-                        saved_transactions=outcome.saved_transactions,
-                        saved_price=outcome.saved_price,
-                    )
-                    purchases_logged = True
-            if purchases_logged:
-                # Group commit inside the record→release window: once any
-                # other session can see these rows (or a waiter is
-                # released), the purchases that produced them are durable.
-                # Fully-covered accesses skip it — they appended nothing,
-                # and bookkeeping records ride the next money commit.
-                durability.commit()
-            if coalescer is not None:
-                for flight in lead_flights:
-                    coalescer.release(flight)
+            failed, purchased_rows = self._record(
+                table, rewrite.remainder, outcomes, access.batch.lead_flights
+            )
             columns, row_count = store.columns_in_boxes(
                 table, rewrite.request_boxes
             )
@@ -950,7 +910,7 @@ class Executor:
         # billed, no matter how other sessions' entries interleave (the
         # checkpoint merely bounds the scan).  Per-span totals therefore
         # still sum exactly to the query's QueryStats.
-        entries = ledger.entries_for_token(access_token, checkpoint)
+        entries = ledger.entries_for_token(access.token, access.checkpoint)
         billed_transactions = sum(e.transactions for e in entries)
         billed_price = sum(e.price for e in entries)
         wasted_transactions = sum(
@@ -1018,222 +978,137 @@ class Executor:
                 staged.append(row)
         return relation
 
-    def _issue_market_calls(
-        self, dataset, table, remainders, access_token, parent_span=None
-    ) -> tuple[list, list]:
-        """Issue the remainder GETs through the transport, concurrently when
-        allowed.
+    def _record(
+        self, table, remainders, outcomes, lead_flights
+    ) -> tuple[list[FailedFetch], int]:
+        """Record one access's completed purchases; the caller holds the
+        table's lock.  Returns the failed fetches and the rows purchased.
+
+        Records serially in remainder order: store coverage, histogram
+        feedback, and billing totals end up identical to serial fetch.
+        Only *completed* fetches are recorded — a failed box must never
+        enter the coverage index, or a future query would silently skip
+        buying data it does not have (the store-poisoning hazard).
+        Coalesced results record too (store dedup and the identical
+        histogram observation make it idempotent against the leader's
+        own record) — a waiter must never read the store before its
+        shared rows are in it.
+        """
+        store = self.context.store
+        statistics = self.context.catalog.statistics(table)
+        durability = self.context.durability
+        failed: list[FailedFetch] = []
+        purchased_rows = 0
+        purchases_logged = False
+        for remainder, outcome in zip(remainders, outcomes):
+            if isinstance(outcome, FailedFetch):
+                failed.append(outcome)
+                continue
+            if isinstance(outcome, CoveredSkip):
+                continue
+            response = outcome.response
+            purchased_rows += response.record_count
+            store.record(table, remainder.box, response.rows)
+            statistics.histogram.observe(remainder.box, response.record_count)
+            if durability is not None:
+                durability.log_purchase(
+                    table=table,
+                    box=remainder.box,
+                    rows=response.rows,
+                    count=response.record_count,
+                    stored_at=store.clock,
+                    url=response.request.url(),
+                    key=outcome.idempotency_key,
+                    transactions=outcome.billed_transactions,
+                    price=outcome.billed_price,
+                    coalesced=outcome.coalesced,
+                    saved_transactions=outcome.saved_transactions,
+                    saved_price=outcome.saved_price,
+                )
+                purchases_logged = True
+        if purchases_logged:
+            # Group commit inside the record→release window: once any
+            # other session can see these rows (or a waiter is released),
+            # the purchases that produced them are durable.  Fully-covered
+            # accesses skip it — they appended nothing, and bookkeeping
+            # records ride the next money commit.
+            durability.commit()
+        coalescer = self.context.coalescer
+        if coalescer is not None:
+            for flight in lead_flights:
+                coalescer.release(flight)
+        return failed, purchased_rows
+
+    def _submit_calls(
+        self, dataset, table, remainders, access_token, prefetch=False
+    ) -> _CallBatch:
+        """Issue one access's remainder GETs through the transport.
 
         Remainder boxes are disjoint and the market is read-only, so the
-        calls commute; outcomes come back in request order either way.
-        Each element of the returned outcome list is a
-        :class:`~repro.market.transport.FetchResult`, a
+        calls commute.  They run on the executor's fetch pool when
+        ``max_concurrent_calls`` allows it and there is something to
+        overlap — more than one call, a prefetch (whose point is to run
+        behind the plan walk), or calls already on the pool, which then
+        bounds every call of the query; otherwise inline on the calling
+        thread, which keeps ``max_concurrent_calls=1`` exactly serial.
+        :meth:`_collect_calls` waits for the batch.
+        """
+        requests = [
+            RestRequest(dataset, table, remainder.constraints)
+            for remainder in remainders
+        ]
+        if requests:
+            self.context.metrics.histogram("fetch_batch_size").observe(
+                len(requests)
+            )
+        batch = _CallBatch(ready_ms=self._critical_path_ms)
+        calls = [
+            (batch, table, remainder.box, request, access_token)
+            for remainder, request in zip(remainders, requests)
+        ]
+        limit = self.max_concurrent_calls
+        pool = self._call_pool
+        if limit > 1 and (prefetch or len(calls) > 1 or pool is not None):
+            if pool is None:
+                pool = self._call_pool = self.context.borrow_fetch_pool(limit)
+            batch.calls = [pool.submit(self._issue_call, *call) for call in calls]
+            self._pool_calls.extend(batch.calls)
+        else:
+            batch.calls = [self._issue_call(*call) for call in calls]
+        return batch
+
+    def _collect_calls(self, batch: _CallBatch, parent_span) -> list:
+        """Wait for one batch and account for it; outcomes in request order.
+
+        Each outcome is a :class:`~repro.market.transport.FetchResult`, a
         :class:`FailedFetch`, or a :class:`CoveredSkip` — per-call
-        failures are captured rather than raised so sibling successes can
-        still be recorded (the money was spent; keeping the data saves a
-        future re-purchase).  The second return value is the singleflight
-        flights this access *led*; the caller retires them under the
-        table lock once their rows are recorded.
+        transport failures are captured rather than raised so sibling
+        successes can still be recorded (the money was spent; keeping the
+        data saves a future re-purchase).  Anything else a call raised
+        (a market rejection, a simulated crash) is re-raised here, the
+        way ``ThreadPoolExecutor.map`` does.
 
         Tracing under concurrency is race-free by construction: worker
         threads only create *detached* ``market_call`` spans (private
-        objects, no shared trace state — see :mod:`repro.obs.trace`) plus
-        lock-guarded in-flight counters; the coordinating thread adopts
-        the finished spans into ``parent_span`` in request order after the
-        pool drains, so per-fetch timing and attempt counts are recorded
-        identically regardless of thread scheduling.
+        objects, no shared trace state — see :mod:`repro.obs.trace`); they
+        are adopted into ``parent_span`` here, in request order, so
+        per-fetch timing and attempt counts are recorded identically
+        regardless of thread scheduling.
         """
-        if self._aio is not None:
-            return self._collect_async_calls(
-                self._submit_async_calls(
-                    dataset, table, remainders, access_token
-                ),
-                parent_span,
-            )
-        transport = self.context.transport
-        ledger = self.context.market.ledger
-        scope = self._scope
-        tracer = self.context.tracer
-        tracing = parent_span is not None and tracer.enabled
-        metrics = self.context.metrics
-        coalescer = self.context.coalescer
-        table_store = (
-            self.context.store.table(table) if coalescer is not None else None
-        )
-        requests = [
-            RestRequest(dataset, table, remainder.constraints)
-            for remainder in remainders
-        ]
-        if requests:
-            metrics.histogram("fetch_batch_size").observe(len(requests))
-        high_water = metrics.gauge("fetch_pool_high_water")
-        in_flight_lock = threading.Lock()
-        in_flight = 0
-        lead_flights: list = []
-        lead_lock = threading.Lock()
-
-        def fetch_once(request: RestRequest):
-            # The attribution token is thread-local, so it must be entered
-            # on the worker thread actually billing the call.
-            with ledger.attribute(access_token):
-                return transport.fetch(request, scope)
-
-        def issue(item):
-            nonlocal in_flight
-            index, request = item
-            with in_flight_lock:
-                in_flight += 1
-                high_water.set_max(in_flight)
-            call_span = (
-                tracer.detached_span("market_call", url=request.url())
-                if tracing
-                else None
-            )
-            try:
-                try:
-                    if coalescer is None:
-                        outcome = fetch_once(request)
-                    else:
-                        outcome = self._coalesced_fetch(
-                            coalescer,
-                            table_store,
-                            remainders[index].box,
-                            request,
-                            fetch_once,
-                            lead_flights,
-                            lead_lock,
-                        )
-                except TransportError as error:
-                    outcome = FailedFetch(
-                        table=table, request=request, error=error
-                    )
-            finally:
-                with in_flight_lock:
-                    in_flight -= 1
-            if call_span is not None:
-                self._finish_call_span(call_span, outcome)
-            return outcome, call_span
-
-        limit = self.max_concurrent_calls
-        if limit > 1 and len(requests) > 1:
-            # One long-lived pool per executor, shared by every table
-            # access of the query: the historical per-access pool paid
-            # thread startup (and its scheduling jitter) on each access.
-            pool = self._call_pool
-            if pool is None:
-                pool = self._call_pool = ThreadPoolExecutor(
-                    max_workers=limit, thread_name_prefix="fetch"
-                )
-            results = list(pool.map(issue, enumerate(requests)))
-        else:
+        futures = [call for call in batch.calls if isinstance(call, Future)]
+        try:
+            # One wake-up for the whole batch rather than one per call.
+            wait(futures, return_when=FIRST_EXCEPTION)
             results = [
-                issue(item) for item in enumerate(requests)
+                call.result() if isinstance(call, Future) else call
+                for call in batch.calls
             ]
-        outcomes = [outcome for outcome, _ in results]
-        if tracing:
-            for _, call_span in results:
-                if call_span is not None:
-                    parent_span.adopt(call_span)
-        durations = [
-            outcome.error.elapsed_ms
-            if isinstance(outcome, FailedFetch)
-            else 0.0
-            if isinstance(outcome, CoveredSkip)
-            else outcome.elapsed_ms
-            for outcome in outcomes
-        ]
-        self._serial_ms += sum(durations)
-        self._critical_path_ms += _makespan(durations, limit)
-        return outcomes, lead_flights
-
-    def _submit_async_calls(
-        self, dataset, table, remainders, access_token
-    ):
-        """Pipeline one access's remainder GETs onto the event loop.
-
-        The async twin of the threaded issue path: every remainder call
-        becomes a coroutine driving the shared fetch machine against the
-        per-seller connection pool, with the pool's semaphore as the only
-        in-flight cap.  Returns a ``concurrent.futures.Future`` resolving
-        to ``(results, lead_flights)`` where results are
-        ``(outcome, detached_span)`` pairs in request order — the caller
-        (either the consuming table access or the failure drain) blocks on
-        it when it actually needs the data.
-
-        Attribution tokens are applied around each physical call by
-        :meth:`AsyncMarketTransport.fetch` (thread-local, never across an
-        ``await``); in-flight counters are plain ints because every
-        coroutine of an installation runs on the one loop thread.
-        """
-        aio = self._aio
-        scope = self._scope
-        tracer = self.context.tracer
-        tracing = tracer.enabled
-        metrics = self.context.metrics
-        coalescer = self.context.coalescer
-        table_store = (
-            self.context.store.table(table) if coalescer is not None else None
-        )
-        requests = [
-            RestRequest(dataset, table, remainder.constraints)
-            for remainder in remainders
-        ]
-        if requests:
-            metrics.histogram("fetch_batch_size").observe(len(requests))
-        high_water = metrics.gauge("fetch_pool_high_water")
-        state = {"in_flight": 0}
-        lead_flights: list = []
-
-        async def issue(index: int, request: RestRequest):
-            state["in_flight"] += 1
-            high_water.set_max(state["in_flight"])
-            call_span = (
-                tracer.detached_span("market_call", url=request.url())
-                if tracing
-                else None
-            )
-            try:
-                try:
-                    if coalescer is None:
-                        outcome = await aio.fetch(request, scope, access_token)
-                    else:
-                        outcome = await self._coalesced_fetch_async(
-                            coalescer,
-                            table_store,
-                            remainders[index].box,
-                            request,
-                            access_token,
-                            lead_flights,
-                        )
-                except TransportError as error:
-                    outcome = FailedFetch(
-                        table=table, request=request, error=error
-                    )
-            finally:
-                state["in_flight"] -= 1
-            if call_span is not None:
-                self._finish_call_span(call_span, outcome)
-            return outcome, call_span
-
-        async def issue_all():
-            results = await asyncio.gather(
-                *(issue(index, request)
-                  for index, request in enumerate(requests))
-            )
-            return list(results), lead_flights
-
-        return aio.submit(issue_all())
-
-    def _collect_async_calls(self, future, parent_span) -> tuple[list, list]:
-        """Block on one access's pipelined calls and account for them.
-
-        Mirrors the threaded path's post-drain bookkeeping: detached call
-        spans are adopted into the access's ``table_fetch`` span in
-        request order, and the simulated makespan is charged under the
-        async in-flight cap (the per-seller pool size) with connection
-        reuse already reflected in the per-call durations.
-        """
-        results, lead_flights = future.result()
+        except BaseException:
+            # The query fails here: calls of the batch still queued are
+            # never started (nothing they would buy gets used).
+            for call in futures:
+                call.cancel()
+            raise
         outcomes = [outcome for outcome, _ in results]
         if parent_span is not None:
             for _, call_span in results:
@@ -1248,83 +1123,59 @@ class Executor:
             for outcome in outcomes
         ]
         self._serial_ms += sum(durations)
-        self._critical_path_ms += _makespan(durations, self._aio.pool_size)
-        return outcomes, lead_flights
+        # The walk waits for each batch it issues, so batches issued by
+        # the walk run one after another; prefetched ones overlap them.
+        self._critical_path_ms = max(
+            self._critical_path_ms,
+            batch.ready_ms + _makespan(durations, self.max_concurrent_calls),
+        )
+        return outcomes
 
-    async def _coalesced_fetch_async(
-        self,
-        coalescer,
-        table_store,
-        box,
-        request: RestRequest,
-        access_token: str,
-        lead_flights: list,
+    def _issue_call(
+        self, batch: _CallBatch, table, box, request: RestRequest, access_token
     ):
-        """Async twin of :meth:`_coalesced_fetch` — same serving
-        invariant, same leader/follower protocol, same accounting.
-
-        Followers park the flight's *threading* Event on the default
-        executor so the loop keeps running while they wait; leaders abort
-        (deregistering before any waiter wakes) on failure exactly as the
-        threaded path does.  ``lead_flights`` mutates loop-thread-only.
-        """
-        scope = self._scope
-        metrics = self.context.metrics
-        ledger = self.context.market.ledger
-        store = self.context.store
-        loop = asyncio.get_running_loop()
-        key = request.url()
-        while True:
-            with table_store.lock:
-                if table_store.is_covered(box, store.policy, store.clock):
-                    scope.note_covered_skip()
-                    return CoveredSkip(request=request)
-                flight, leader = coalescer.begin(key)
-            if leader:
-                try:
-                    result = await self._aio.fetch(
-                        request, scope, access_token
+        """One remainder call, on a pool worker or inline; returns
+        ``(outcome, detached call span or None)``."""
+        context = self.context
+        with self._in_flight_lock:
+            self._in_flight += 1
+            self._high_water.set_max(self._in_flight)
+        tracer = context.tracer
+        call_span = (
+            tracer.detached_span("market_call", url=request.url())
+            if tracer.enabled
+            else None
+        )
+        try:
+            try:
+                if context.coalescer is None:
+                    outcome = self._fetch_once(request, access_token)
+                else:
+                    outcome = self._coalesced_fetch(
+                        table, box, request, access_token, batch
                     )
-                except BaseException as error:
-                    # Deregister BEFORE waiters wake: no waiter may ever be
-                    # served rows from a fetch the market did not bill.
-                    coalescer.abort(flight, error)
-                    raise
-                coalescer.complete(flight, result)
-                lead_flights.append(flight)
-                return result
-            waited = time.perf_counter()
-            await loop.run_in_executor(None, flight.wait)
-            wait_ms = (time.perf_counter() - waited) * 1000.0
-            if flight.failed:
-                continue
-            shared = flight.result
-            response = shared.response
-            scope.note_coalesced(response.transactions, response.price, wait_ms)
-            ledger.note_coalesced_savings(response.transactions, response.price)
-            metrics.counter("fetch_coalesced").inc()
-            metrics.histogram("fetch_coalesce_wait_us").observe(
-                wait_ms * 1000.0
-            )
-            metrics.counter("dollars_saved_coalescing").inc(response.price)
-            return FetchResult(
-                response=response,
-                attempts=1,
-                elapsed_ms=shared.elapsed_ms,
-                coalesced=True,
-                saved_transactions=response.transactions,
-                saved_price=response.price,
-            )
+            except TransportError as error:
+                outcome = FailedFetch(table=table, request=request, error=error)
+        finally:
+            with self._in_flight_lock:
+                self._in_flight -= 1
+        if call_span is not None:
+            self._finish_call_span(call_span, outcome)
+        return outcome, call_span
+
+    def _fetch_once(self, request: RestRequest, access_token: str):
+        # The attribution token is thread-local, so it must be entered on
+        # the thread actually billing the call.
+        with self.context.market.ledger.attribute(access_token):
+            return self.context.transport.fetch(request, self._scope)
 
     def _coalesced_fetch(
         self,
-        coalescer,
-        table_store,
+        table,
         box,
         request: RestRequest,
-        fetch_once,
-        lead_flights: list,
-        lead_lock: threading.Lock,
+        access_token: str,
+        batch: _CallBatch,
     ):
         """One remainder call through the singleflight layer.
 
@@ -1336,10 +1187,13 @@ class Executor:
         fresh attempt with its own transport retry budget; each query
         fails at most once as leader per key, so the loop terminates.
         """
+        context = self.context
+        coalescer = context.coalescer
         scope = self._scope
-        metrics = self.context.metrics
-        ledger = self.context.market.ledger
-        store = self.context.store
+        metrics = context.metrics
+        ledger = context.market.ledger
+        store = context.store
+        table_store = store.table(table)
         key = request.url()
         while True:
             with table_store.lock:
@@ -1349,15 +1203,15 @@ class Executor:
                 flight, leader = coalescer.begin(key)
             if leader:
                 try:
-                    result = fetch_once(request)
+                    result = self._fetch_once(request, access_token)
                 except BaseException as error:
                     # Deregister BEFORE waiters wake: no waiter may ever be
                     # served rows from a fetch the market did not bill.
                     coalescer.abort(flight, error)
                     raise
                 coalescer.complete(flight, result)
-                with lead_lock:
-                    lead_flights.append(flight)
+                with batch.lead_lock:
+                    batch.lead_flights.append(flight)
                 return result
             waited = time.perf_counter()
             flight.wait()

@@ -411,26 +411,19 @@ class QueryOptions:
     # -- execution ------------------------------------------------------------
     #: Local-evaluation engine ("vectorized" or "reference"; None = default).
     engine: str | None = None
-    #: In-flight market calls per table access (None = context default).
+    #: In-flight market calls per query — its fetch pool's size (None =
+    #: context default, 4; 1 = serial).
     max_concurrent_calls: int | None = None
     #: Default for singleflight coalescing when this installation is put
     #: behind a :class:`~repro.serve.scheduler.QueryScheduler` without an
     #: explicit :class:`~repro.serve.scheduler.ServeConfig`.
     coalesce: bool = True
-    #: Which fetch driver executes market calls: "threaded" (the
-    #: historical thread pool, byte-identical defaults) or "async" (the
-    #: pipelined event-loop driver of :mod:`repro.market.aio` with
-    #: per-seller connection pools and cross-access prefetch).
-    transport_mode: str = "threaded"
-    #: Per-seller connection pool size — and therefore the in-flight cap —
-    #: of the async driver.  Ignored under "threaded", whose cap stays
-    #: ``max_concurrent_calls``.
-    async_pool_size: int = 64
-    #: Cross-access prefetch under the async driver: rewrite the plan's
-    #: certain (non-bind) upcoming accesses at query start and put their
-    #: remainder calls in flight while earlier joins execute.  Only what
-    #: the chosen plan will definitely buy is prefetched, so it cannot
-    #: waste dollars; disabled automatically under adaptive re-planning.
+    #: Cross-access prefetch: rewrite the plan's certain (non-bind)
+    #: upcoming accesses at query start and put their remainder calls in
+    #: flight on the executor's fetch pool while earlier joins execute.
+    #: Only what the chosen plan will definitely buy is prefetched, so it
+    #: cannot waste dollars; inactive at ``max_concurrent_calls=1`` and
+    #: under adaptive re-planning.
     prefetch: bool = True
 
     # -- transport (was PayLess(transport=TransportConfig(...))) --------------
@@ -470,14 +463,12 @@ class QueryOptions:
             raise PlanningError(
                 f"fault_rate must be within [0, 1], got {self.fault_rate!r}"
             )
-        if self.transport_mode not in ("threaded", "async"):
+        if self.max_concurrent_calls is not None and (
+            self.max_concurrent_calls < 1
+        ):
             raise PlanningError(
-                f"transport_mode must be 'threaded' or 'async', "
-                f"got {self.transport_mode!r}"
-            )
-        if self.async_pool_size < 1:
-            raise PlanningError(
-                f"async_pool_size must be >= 1, got {self.async_pool_size!r}"
+                f"max_concurrent_calls must be >= 1, "
+                f"got {self.max_concurrent_calls!r}"
             )
         # Delegate the planner-knob validation (and fail fast at
         # construction, not first query).

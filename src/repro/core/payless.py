@@ -133,12 +133,8 @@ class QueryStats:
     #: adaptive mode is off (the default) or never tripped.
     replans: int = 0
     replan_dollars_saved_est: float = 0.0
-    #: Which fetch driver executed the market calls ("threaded" — the
-    #: default, byte-identical to historical behaviour — or "async", the
-    #: pipelined event-loop driver of :mod:`repro.market.aio`) and how
-    #: many table accesses were answered by a cross-access prefetch
-    #: scheduled at query start (async only; 0 under "threaded").
-    transport_mode: str = "threaded"
+    #: Table accesses answered by a cross-access prefetch scheduled at
+    #: query start (``QueryOptions.prefetch``).
     prefetch_hits: int = 0
     #: Snapshot of the installation's metrics registry taken right after
     #: this query (see :mod:`repro.obs.metrics` for the names).
@@ -366,8 +362,6 @@ class PayLess:
             tracer=self.tracer,
             metrics=self.metrics,
             execution=self.execution,
-            transport_mode=self.query_options.transport_mode,
-            async_pool_size=self.query_options.async_pool_size,
             prefetch=self.query_options.prefetch,
         )
         for table in self.local_db:
@@ -866,7 +860,6 @@ class PayLess:
                 covered_skips=execution.covered_skips,
                 replans=execution.replans,
                 replan_dollars_saved_est=execution.replan_dollars_saved_est,
-                transport_mode=execution.transport_mode,
                 prefetch_hits=execution.prefetch_hits,
                 metrics=metrics.snapshot(),
             ),
@@ -902,15 +895,13 @@ class PayLess:
 
     def close(self) -> None:
         """Clean shutdown: group-commit and snapshot the durable state,
-        and stop the async transport's event loop when one is attached.
+        and stop the idle fetch-pool threads.
 
         Safe to call repeatedly and without a durability config.
         """
         if self.durability is not None:
             self.durability.close()
-        async_transport = getattr(self.context, "async_transport", None)
-        if async_transport is not None:
-            async_transport.close()
+        self.context.close_fetch_pools()
 
     def __enter__(self) -> "PayLess":
         return self

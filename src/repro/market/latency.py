@@ -32,13 +32,13 @@ class LatencyModel:
     #: for real (``benchmarks/bench_concurrency.py``).
     realtime_scale: float = 0.0
     #: Connection establishment cost (TCP + TLS + auth handshake).  The
-    #: threaded transport opens a fresh connection per physical call and
-    #: pays this every time; the async transport's per-seller pools pay it
-    #: once per pooled connection and reuse the connection afterwards
-    #: (:mod:`repro.market.aio`).  Charged *client-side* by the transport
-    #: driver — it never enters the server's billing ledger, so the two
-    #: transports stay ledger-byte-identical.  Default 0 keeps every
-    #: existing number and golden unchanged.
+    #: transport keeps idle connections per seller and pays this only
+    #: when a call must open a new one; a call that reuses an idle
+    #: connection pays nothing (:meth:`MarketTransport._call
+    #: <repro.market.transport.MarketTransport._call>`).  Charged
+    #: *client-side* — it never enters the server's billing ledger, so
+    #: dollars never depend on it.  Default 0 keeps every existing number
+    #: and golden unchanged.
     connection_setup_ms: float = 0.0
 
     def __post_init__(self) -> None:

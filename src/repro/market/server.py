@@ -84,7 +84,6 @@ class DataMarket:
         request: RestRequest,
         *,
         idempotency_key: str | None = None,
-        sleep: bool = True,
     ) -> RestResponse:
         """Execute one GET call, bill it, and return the matching records.
 
@@ -93,12 +92,6 @@ class DataMarket:
         this is the server half of at-most-once billing: a client that
         never saw the response (it timed out in transit) can retry with the
         same key and not pay twice.
-
-        ``sleep=False`` skips the realtime ``time.sleep`` while keeping
-        billing and accounting identical — the async transport issues the
-        call without blocking its event-loop executor and awaits an
-        ``asyncio.sleep`` of the same duration instead, so the modelled
-        wall-clock is paid cooperatively rather than thread-blockingly.
 
         Thread-safe: calls are read-only against published data (lazy row
         indexes build under their own lock) and billing appends under the
@@ -124,7 +117,7 @@ class DataMarket:
         transactions = dataset.pricing.transactions_for(len(rows))
         price = dataset.pricing.price_for(len(rows))
         elapsed_ms = self.latency.call_ms(transactions)
-        if self.latency.realtime_scale and sleep:
+        if self.latency.realtime_scale:
             # Real-time mode: block the calling thread for (a scaled-down
             # slice of) the modelled latency, so concurrent serving has a
             # genuine wait to overlap and coalesce.  Replays above stay

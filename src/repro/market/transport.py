@@ -26,6 +26,12 @@ failure handling as a *billing* problem first and a latency problem second:
   went through (a dropped response that never got replayed), it moves the
   charge to the ledger's ``wasted_on_failures`` bucket so the spend series
   the evaluation plots stays honest.
+* **pooled connections** — each seller keeps a count of idle connections;
+  a call pays ``LatencyModel.connection_setup_ms`` only when none is idle
+  and it must open a new one (``connections_opened``), and otherwise
+  reuses one for free (``connections_reused``).  Callers bound how many
+  calls are in flight — the executor's thread pool — so the pool grows to
+  the deepest concurrency seen and never past it.
 
 Fault injection itself lives in :mod:`repro.market.faults`; with no fault
 policy attached the transport is a single ``market.get`` per call with no
@@ -39,6 +45,7 @@ import enum
 import itertools
 import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.durable.wal import SimulatedCrash
@@ -316,7 +323,8 @@ class MarketTransport:
         self.config = config or TransportConfig()
         self.faults: FaultPolicy | None = self.config.faults
         #: Optional :class:`~repro.obs.metrics.MetricsRegistry`; when set,
-        #: circuit-breaker state changes are counted into it.
+        #: circuit-breaker state changes and connection opens/reuses are
+        #: counted into it.
         self.metrics = metrics
         self._breakers: dict[str, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
@@ -338,6 +346,9 @@ class MarketTransport:
         #: and uses the intent's idempotency key, so a crash between
         #: billing and acknowledgment is recoverable (wired by PayLess).
         self.durability = None
+        #: Idle pooled connections per seller (``dataset.lower()``), one
+        #: list item each; see :meth:`_call`.
+        self._idle_connections: defaultdict[str, list] = defaultdict(list)
 
     # -- clock & breakers ------------------------------------------------------
 
@@ -407,6 +418,10 @@ class MarketTransport:
     ) -> FetchResult:
         """Issue one logical call, retrying transient faults money-safely.
 
+        The one driver of :meth:`_fetch_machine`: each physical call the
+        machine asks for runs on a pooled connection (:meth:`_call`) and
+        its reply — or whatever it raised — is fed back in.
+
         Raises :class:`~repro.errors.RetryExhaustedError` when the call
         kept failing, :class:`~repro.errors.MarketUnavailableError` when
         the dataset's circuit is open or the query's retry budget ran out.
@@ -416,82 +431,89 @@ class MarketTransport:
         if scope is None:
             scope = self.new_scope()
         if self.faults is None and self.durability is None:
-            # Fast path: no injection, one attempt, no key.  Keeps the
-            # fault-free overhead at one attribute check and stays
-            # compatible with tests that monkeypatch ``market.get``.
-            # The simulated clock is not advanced: it exists only to time
-            # breaker cooldowns, and breakers never trip without faults.
-            latency = self.market.latency
-            setup_ms = latency.connection_setup_ms
-            if setup_ms and latency.realtime_scale:
-                time.sleep(setup_ms * latency.realtime_scale / 1000.0)
-            response = self.market.get(request)
+            # Fast path: no injection, one attempt, no key — the machine's
+            # first branch inlined, which keeps the fault-free overhead
+            # near zero.  The simulated clock is not advanced: it exists
+            # only to time breaker cooldowns, and breakers never trip
+            # without faults.
+            response, connect_ms = self._call(request, None)
             return FetchResult(
                 response=response,
                 attempts=1,
-                elapsed_ms=response.elapsed_ms + setup_ms,
+                elapsed_ms=response.elapsed_ms + connect_ms,
                 billed_transactions=response.transactions,
                 billed_price=response.price,
             )
-        return self._drive(request, self._fetch_machine(request, scope))
-
-    def _drive(self, request: RestRequest, machine) -> FetchResult:
-        """Drive the sans-IO fetch machine with blocking calls.
-
-        This is the *threaded* transport driver: every physical call opens
-        a fresh connection (paying ``connection_setup_ms`` each time) and
-        the market's realtime sleep blocks the calling thread.  The async
-        driver in :mod:`repro.market.aio` replays the exact same machine
-        against pooled connections and cooperative sleeps.
-        """
-        latency = self.market.latency
-        setup_ms = latency.connection_setup_ms
-        scale = latency.realtime_scale
+        machine = self._fetch_machine(request, scope)
         try:
-            effect = machine.send(None)
+            key = machine.send(None)
             while True:
-                __, key, __expect_replay = effect
                 try:
-                    if setup_ms and scale:
-                        time.sleep(setup_ms * scale / 1000.0)
-                    if key is not None:
-                        response = self.market.get(
-                            request, idempotency_key=key
-                        )
-                    else:
-                        response = self.market.get(request)
+                    reply = self._call(request, key)
                 except BaseException as error:
-                    effect = machine.throw(error)
+                    key = machine.throw(error)
                 else:
-                    effect = machine.send((response, setup_ms))
+                    key = machine.send(reply)
         except StopIteration as stop:
             return stop.value
+
+    def _call(
+        self, request: RestRequest, key: str | None
+    ) -> tuple[RestResponse, float]:
+        """One physical GET over a pooled connection to the request's
+        seller; returns the response and the connection-setup latency
+        this call paid (``0.0`` when it reused an idle connection).
+
+        The connection is held for the whole call, realtime sleep
+        included, exactly as a socket would be, and returned to the idle
+        pool afterwards whether the call succeeded or raised.
+        """
+        # Creating a missing list and ``list.pop``/``append`` are each
+        # atomic, so concurrent calls need no lock to share an idle list.
+        idle = self._idle_connections[request.dataset.lower()]
+        metrics = self.metrics
+        try:
+            idle.pop()
+        except IndexError:
+            latency = self.market.latency
+            connect_ms = latency.connection_setup_ms
+            if metrics is not None:
+                metrics.counter("connections_opened").inc()
+            if connect_ms and latency.realtime_scale:
+                time.sleep(connect_ms * latency.realtime_scale / 1000.0)
+        else:
+            connect_ms = 0.0
+            if metrics is not None:
+                metrics.counter("connections_reused").inc()
+        try:
+            if key is None:
+                response = self.market.get(request)
+            else:
+                response = self.market.get(request, idempotency_key=key)
+        finally:
+            idle.append(None)
+        return response, connect_ms
 
     def _fetch_machine(self, request: RestRequest, scope: QueryScope):
         """The transport's entire billing/retry logic as a sans-IO generator.
 
-        Yields ``("call", idempotency_key_or_None, expect_replay)`` each
-        time a physical ``market.get`` must happen; the driver performs it
-        and replies ``machine.send((response, connect_ms))`` — where
-        ``connect_ms`` is the connection-setup latency this particular
-        physical call paid (a fresh handshake, or ``0.0`` when a pooled
-        connection was reused) — or ``machine.throw(error)`` with whatever
-        the call raised.  The :class:`FetchResult` comes back as the
-        generator's return value (``StopIteration.value``).
-
-        ``expect_replay`` tells the driver, *before* the call, whether the
-        server will answer from its idempotency cache (an earlier attempt
-        already billed this key): replays are instant, so a realtime
-        driver must not sleep for them.  Because both transports replay
-        this one machine, retries, idempotency keys, fault draws, waste
-        accounting, and durable-intent resolution cannot diverge between
-        them.
+        Yields the idempotency key (or ``None``) each time a physical
+        ``market.get`` must happen; :meth:`fetch` performs it and replies
+        ``machine.send((response, connect_ms))`` — where ``connect_ms`` is
+        the connection-setup latency this particular physical call paid
+        (a fresh connection, or ``0.0`` when a pooled one was reused) — or
+        ``machine.throw(error)`` with whatever the call raised.  The
+        :class:`FetchResult` comes back as the generator's return value
+        (``StopIteration.value``).  Keeping IO out of the machine keeps
+        retries, idempotency keys, fault draws, waste accounting and
+        durable-intent resolution in one place, independent of how the
+        physical call is made.
         """
         faults = self.faults
         durability = self.durability
         if faults is None:
             if durability is None:
-                response, connect_ms = yield ("call", None, False)
+                response, connect_ms = yield None
                 return FetchResult(
                     response=response,
                     attempts=1,
@@ -501,7 +523,7 @@ class MarketTransport:
                 )
             key = durability.begin_intent(request)
             try:
-                response, connect_ms = yield ("call", key, False)
+                response, connect_ms = yield key
             except SimulatedCrash:
                 raise
             except BaseException:
@@ -589,7 +611,7 @@ class MarketTransport:
                         # bills (or replays a previously billed key for
                         # free).
                         replayed = key is not None and billed is not None
-                        response, connect_ms = yield ("call", key, replayed)
+                        response, connect_ms = yield key
                         if replayed:
                             scope.note_replay()
                         else:
@@ -617,12 +639,10 @@ class MarketTransport:
                             # With a key the second execution replays for
                             # free; the naive client pays all over again.
                             if key is not None:
-                                __, dup_connect = yield ("call", key, True)
+                                __, dup_connect = yield key
                                 scope.note_replay()
                             else:
-                                duplicate, dup_connect = yield (
-                                    "call", None, False
-                                )
+                                duplicate, dup_connect = yield None
                                 billed_transactions += duplicate.transactions
                                 billed_price += duplicate.price
                             dup_ms = latency.call_ms(0) + dup_connect

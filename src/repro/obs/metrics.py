@@ -16,22 +16,39 @@ Metric names used by the pipeline:
 ``memo_hits`` / ``memo_misses``    counters — rewrite-memo outcomes
 ``rewrites`` / ``rewrites_covered``  counters — rewrites, and those the
                                    store fully covered (coverage ratio)
-``fetch_pool_high_water``          gauge — max concurrently in-flight
-                                   market calls observed in one batch
+``fetch_pool_high_water``          gauge — max market calls one executor
+                                   had running at once, across all its
+                                   table accesses and prefetches
+``fetch_batch_size``               histogram — remainder calls per access
+``connections_opened``             counter — seller connections the
+                                   transport had to open (each paid
+                                   ``connection_setup_ms``)
+``connections_reused``             counter — calls served on an idle
+                                   pooled connection (no setup paid)
+``prefetch_hits``                  counter — table accesses answered by a
+                                   cross-access prefetch
+``prefetch_wasted_dollars``        counter — dollars prefetched for queries
+                                   that failed before using them
 ``breaker_transitions``            counter — circuit state changes
 ``breaker_opens``                  counter — transitions into OPEN
-``fetch_batch_size``               histogram — remainder calls per access
 ``query_transactions``             histogram — transactions per query
 ``plan_candidates``                counter — candidate (sub)plans evaluated
 ``plan_candidates_pruned``         counter — candidates discarded by
                                    branch-and-bound / dominance pruning
 ``plan_bnb_fallbacks``             counter — prunings undone by the
                                    correctness net (re-ran unpruned)
-``plan_cache_hits`` / ``..misses``  counters — plan-cache outcomes
+``plan_frontier_size``             histogram — Pareto points kept per
+                                   subplan frontier
+``plan_objective_infeasible``      counter — queries whose latency or
+                                   dollar bound no plan could meet
+``plan_cache_hits``                counter — plan-cache hits
+``plan_cache_misses``              counter — plan-cache misses
 ``plan_cache_invalidations``       counter — entries dropped on epoch or
                                    clock change
 ``plan_cache_evictions``           counter — entries dropped by LRU
 ``planning_us``                    histogram — planning wall-clock, µs
+``plan_replans``                   counter — adaptive mid-query re-plans
+``replan_planning_us``             histogram — re-planning wall-clock, µs
 ``fetch_coalesced``                counter — market fetches answered by
                                    joining another session's in-flight call
 ``fetch_coalesce_wait_us``         histogram — waiter wall-clock until the

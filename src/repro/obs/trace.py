@@ -37,6 +37,11 @@ pool) must never touch that stack; they create **detached** spans via
 the coordinating thread adopts them in a deterministic order once the pool
 has drained (:meth:`Span.adopt`).  That construction makes concurrent
 recording race-free: nothing concurrent ever mutates a shared span list.
+A prefetched table access is the one span opened before its place in the
+tree is known: the executor creates its ``table_fetch`` span detached at
+query start, records the access's rewrite within it
+(:meth:`Tracer.within`), and attaches it where the plan walk consumes the
+access (:meth:`Tracer.attach`).
 
 Overhead contract: a disabled tracer must cost one attribute check on the
 hot paths.  Callers therefore guard with the idiom::
@@ -276,12 +281,20 @@ class Tracer:
         """
         if not self.enabled or self.active is None:
             return _NULL_CONTEXT
-        return self._span_context(kind, attrs)
+        return self._span_context(Span(kind, self.clock(), attrs))
+
+    def attach(self, span: Span | None):
+        """Context manager opening an already-started detached span as a
+        child of the current span: adopted, made current for the block,
+        and finished on exit.  ``None`` (or a disabled tracer) is a no-op
+        like :meth:`span`."""
+        if span is None or not self.enabled or self.active is None:
+            return _NULL_CONTEXT
+        return self._span_context(span)
 
     @contextmanager
-    def _span_context(self, kind: str, attrs: dict[str, Any]):
+    def _span_context(self, span: Span):
         stack = self._stack
-        span = Span(kind, self.clock(), attrs)
         if stack:
             stack[-1].adopt(span)
         stack.append(span)
@@ -289,6 +302,22 @@ class Tracer:
             yield span
         finally:
             span.finish(self.clock())
+            if stack and stack[-1] is span:
+                stack.pop()
+
+    @contextmanager
+    def within(self, span: Span | None):
+        """Make a detached span current for the block, without adopting or
+        finishing it: spans and events the block opens attach to it.
+        ``None`` is a no-op."""
+        if span is None:
+            yield None
+            return
+        stack = self._stack
+        stack.append(span)
+        try:
+            yield span
+        finally:
             if stack and stack[-1] is span:
                 stack.pop()
 

@@ -21,14 +21,13 @@ many :class:`ServeSession` handles on a thread pool against one shared
   query's stats are token-attributed in the executor, so concurrent
   sessions never steal each other's dollars).
 
-When the installation runs the async transport
-(``QueryOptions(transport_mode="async")``), every session's market calls
-share the installation's single event loop (:mod:`repro.market.aio`):
-worker threads then bound only local planning/evaluation, not in-flight
-market calls — one worker can keep ``async_pool_size`` calls in flight
-per seller, where a threaded worker tops out at
-``max_concurrent_calls``.  Coalescing still works across drivers because
-both consult the same singleflight group under the same table locks.
+Scheduler workers run whole queries; each query's market calls run on
+its executor's own fetch pool of ``QueryOptions.max_concurrent_calls``
+threads, so in-flight calls per worker are bounded by that depth, and
+all sessions share the transport's pooled seller connections.  A
+coalescing follower blocks its fetch thread until the leader's call
+returns; a leader is registered only once its call is running, so a
+follower never waits on work queued behind it.
 
 Usage::
 

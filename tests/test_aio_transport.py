@@ -1,41 +1,54 @@
-"""The async pipelined transport: parity, pools, prefetch, lifecycle.
+"""The one fetch driver: parity across depths, pooled connections, prefetch.
 
-The contract of :mod:`repro.market.aio` is that switching
-``QueryOptions(transport_mode="async")`` changes *when* market calls
-happen, never *what they cost*: both drivers replay the same sans-IO
-fetch machine, so idempotency keys, fault draws, retries and billing are
-identical by construction.  These tests assert that contract from the
-outside:
+Every market call runs through ``MarketTransport.fetch`` on the
+executor's fetch pool.  Its contract is that the pool's depth
+(``QueryOptions.max_concurrent_calls``) and cross-access prefetch change
+*when* market calls happen, never *what they cost*.  Two configurations
+bracket the driver: **serial** (one call at a time, no prefetch) and
+**deep** (64 calls in flight, prefetch on).  These tests assert the
+contract from the outside:
 
-* **canonical ledger parity** — the same workload billed through either
-  driver produces the same multiset of billed calls (URL, rows,
+* **canonical ledger parity** — the same workload billed serially or
+  deep produces the same multiset of billed calls (URL, rows,
   transactions, price, server-side latency, waste classification, and
   the *grouping* of entries into attribution tokens), calm and under
   injected chaos.  Raw tokens and idempotency keys are installation-
   scoped (they embed a transport id and a global query sequence), so the
   comparison canonicalizes them to ordinals first.
-* **connection-setup semantics** — ``LatencyModel.connection_setup_ms``
-  is charged per physical call by the threaded driver but once per
-  pooled connection by the async driver; the saved milliseconds equal
-  ``setup_ms x connections_reused`` exactly, while dollars are
-  untouched.
+* **pooled connections** — ``LatencyModel.connection_setup_ms`` is
+  charged only for connections the transport had to open; a call that
+  reuses an idle connection pays nothing, so the setup charged equals
+  ``setup_ms x connections opened`` exactly, while dollars are untouched.
 * **conservative prefetch** — a query that fails after its prefetches
   were issued still records every completed purchase in the semantic
   store (counted in ``prefetch_wasted_dollars``), so a retry pays only
   for what was never bought: two-run total == clean-run total.
-* **lifecycle** — ``close`` is idempotent and a later query transparently
-  restarts the loop with fresh pools.
+* **hash-seed independence** — the default weather session run deep
+  bills the same canonical ledger and picks the same plans under two
+  ``PYTHONHASHSEED`` values.
+* **lifecycle and validation** — fetch threads never outlive their
+  query, and the removed driver knobs are rejected.
+
+(The module keeps its name so that its test ids stay stable.)
 """
+
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from repro.core.objectives import QueryOptions
 from repro.errors import PlanningError
-from repro.market.aio import AsyncMarketTransport
 from repro.market.faults import FaultPolicy
 from repro.market.latency import LatencyModel
-from repro.market.transport import TransportConfig
+from repro.market.rest import RestRequest
+from repro.market.transport import MarketTransport, TransportConfig
 from repro.obs.metrics import MetricsRegistry
+from repro.relational.query import AttributeConstraint
 from repro.testing import (
     oracle_evaluate,
     registered_payless,
@@ -52,20 +65,35 @@ WEATHER_SQL = (
     "WHERE Country = 'CountryA' AND Date >= ? AND Date <= ?"
 )
 
+SERIAL = dict(max_concurrent_calls=1, prefetch=False)
+DEEP = dict(max_concurrent_calls=64, prefetch=True)
 
-def _payless(transport_mode, transport=None, **option_kwargs):
+
+def _payless(config, transport=None, **option_kwargs):
     market = tiny_weather_market(days=10, tuples_per_transaction=5)
     payless = registered_payless(
         market,
         metrics=MetricsRegistry(),
         transport=transport,
-        options=QueryOptions(transport_mode=transport_mode, **option_kwargs),
+        options=QueryOptions(**config, **option_kwargs),
     )
     return payless
 
 
+def _new_fetch_threads(before):
+    """Fetch-pool threads alive now that were not in ``before`` (other
+    tests' installations may still hold idle pools)."""
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("fetch")
+        and thread.is_alive()
+        and thread not in before
+    ]
+
+
 def _canonical_ledger(ledger):
-    """The ledger as a transport-independent value.
+    """The ledger as a schedule-independent value.
 
     Sorts entries canonically and maps attribution tokens and
     idempotency keys to first-appearance ordinals: two runs then compare
@@ -106,9 +134,9 @@ def _canonical_ledger(ledger):
     return canon
 
 
-def _replay(transport_mode, transport=None):
+def _replay(config, transport=None):
     """A small mixed session: join, repeat (free), two range windows."""
-    payless = _payless(transport_mode, transport=transport)
+    payless = _payless(config, transport=transport)
     try:
         results = [
             payless.query(JOIN_SQL),
@@ -123,10 +151,10 @@ def _replay(transport_mode, transport=None):
 
 class TestLedgerParity:
     def test_calm_ledgers_identical(self):
-        threaded, threaded_results = _replay("threaded")
-        awaited, async_results = _replay("async")
-        assert awaited == threaded
-        for a, b in zip(threaded_results, async_results):
+        serial, serial_results = _replay(SERIAL)
+        deep, deep_results = _replay(DEEP)
+        assert deep == serial
+        for a, b in zip(serial_results, deep_results):
             assert sorted(a.rows, key=repr) == sorted(b.rows, key=repr)
             assert a.stats.price == b.stats.price
 
@@ -138,63 +166,181 @@ class TestLedgerParity:
                 max_retries=5,
             )
 
-        threaded, __ = _replay("threaded", transport=chaotic())
-        awaited, __ = _replay("async", transport=chaotic())
-        assert awaited == threaded
+        serial, __ = _replay(SERIAL, transport=chaotic())
+        deep, __ = _replay(DEEP, transport=chaotic())
+        assert deep == serial
 
-    def test_stats_report_the_driver(self):
-        payless = _payless("async")
-        try:
-            stats = payless.query(JOIN_SQL).stats
-            assert stats.transport_mode == "async"
-        finally:
-            payless.close()
-        payless = _payless("threaded")
-        try:
-            stats = payless.query(JOIN_SQL).stats
-            assert stats.transport_mode == "threaded"
-            assert stats.prefetch_hits == 0
-        finally:
-            payless.close()
+
+def _weather_session_deep() -> None:
+    """Run the default weather session deep and print its canonical
+    ledger, plans and prefetch hits as JSON (a subprocess entry point)."""
+    from repro.bench.figures import DEFAULT_PROFILE, make_instances, make_workload
+    from repro.core.payless import PayLess
+    from repro.market.server import DataMarket
+
+    data = make_workload("real")
+    market = DataMarket()
+    for dataset in data.datasets:
+        market.publish(dataset)
+    payless = PayLess(
+        market,
+        local_db=data.local_database(),
+        options=QueryOptions(**DEEP),
+        metrics=MetricsRegistry(),
+    )
+    for dataset in data.datasets:
+        payless.register_dataset(dataset.name)
+    plans, prefetch_hits = [], 0
+    for instance in make_instances("real", data, DEFAULT_PROFILE.weather_q):
+        result = payless.query(instance.sql, instance.params)
+        plans.append(result.plan.describe())
+        prefetch_hits += result.stats.prefetch_hits
+    payless.close()
+    print(json.dumps({
+        "ledger": _canonical_ledger(market.ledger),
+        "plans": plans,
+        "prefetch_hits": prefetch_hits,
+    }))
+
+
+class TestHashSeed:
+    def test_deep_weather_session_ignores_the_hash_seed(self):
+        root = Path(__file__).resolve().parents[1]
+        runs = []
+        for seed in ("0", "1"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+            )
+            completed = subprocess.run(
+                [
+                    sys.executable,
+                    "-c",
+                    "from tests.test_aio_transport import "
+                    "_weather_session_deep; _weather_session_deep()",
+                ],
+                cwd=root,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert completed.returncode == 0, completed.stderr
+            runs.append(json.loads(completed.stdout))
+        zero, one = runs
+        assert zero["prefetch_hits"] > 0  # the session exercises prefetch
+        assert zero["plans"] == one["plans"]
+        assert zero["ledger"] == one["ledger"]
+        assert zero["prefetch_hits"] == one["prefetch_hits"]
 
 
 class TestConnectionSetup:
-    def _run(self, transport_mode):
-        payless = _payless(transport_mode)
+    SETUP_MS = 100.0
+
+    def _run(self, config):
+        payless = _payless(config)
         market = payless.market
         try:
-            # Warm a middle window so the second query's remainder splits
-            # into two physical calls against the same seller.
+            # Warm a middle window (opening one connection while setup is
+            # still free) so the second query's remainder splits into two
+            # physical calls against the same seller.
             payless.query(WEATHER_SQL, (4, 5))
+            before = payless.metrics.snapshot()
+            checkpoint = market.ledger.checkpoint()
+            # Real sleeps keep the deep arm's two calls in flight together.
             market.latency = LatencyModel(
                 round_trip_ms=10.0,
                 per_transaction_ms=1.0,
-                connection_setup_ms=100.0,
+                connection_setup_ms=self.SETUP_MS,
+                realtime_scale=1.0,
             )
             stats = payless.query(WEATHER_SQL, (1, 10)).stats
-            reused = payless.metrics.snapshot().get(
-                "connections_reused", 0.0
+            after = payless.metrics.snapshot()
+            server_ms = sum(
+                entry.elapsed_ms
+                for entry in market.ledger.entries_since(checkpoint)
             )
-            return stats, reused
+
+            def delta(name):
+                return after.get(name, 0.0) - before.get(name, 0.0)
+
+            return (
+                stats,
+                server_ms,
+                delta("connections_opened"),
+                delta("connections_reused"),
+            )
         finally:
             payless.close()
 
     def test_setup_charged_per_connection_not_per_call(self):
-        threaded, threaded_reused = self._run("threaded")
-        awaited, async_reused = self._run("async")
-        assert threaded.calls == awaited.calls == 2
-        assert threaded.price == awaited.price  # dollars never move
-        assert threaded_reused == 0.0
-        assert async_reused == 2.0  # warm call pooled the connection
-        # The threaded driver paid the handshake on both calls; the async
-        # driver paid it on neither — the gap is exactly setup x reuses.
-        assert threaded.market_time_ms - awaited.market_time_ms == (
-            pytest.approx(100.0 * async_reused)
+        serial, serial_server_ms, serial_opened, serial_reused = self._run(
+            SERIAL
+        )
+        deep, deep_server_ms, deep_opened, deep_reused = self._run(DEEP)
+        assert serial.calls == deep.calls == 2
+        assert serial.price == deep.price  # dollars never move
+        # Serially, both calls reuse the warm-up's pooled connection.
+        assert serial_opened == 0.0
+        assert serial_reused == 2.0
+        assert deep_opened + deep_reused == 2.0
+        # The setup charged is exactly one handshake per connection the
+        # transport had to open, whatever the depth.
+        assert serial.market_time_ms - serial_server_ms == pytest.approx(
+            self.SETUP_MS * serial_opened
+        )
+        assert deep.market_time_ms - deep_server_ms == pytest.approx(
+            self.SETUP_MS * deep_opened
         )
         assert (
-            awaited.market_time_critical_path_ms
-            < threaded.market_time_critical_path_ms
+            serial.market_time_critical_path_ms == serial.market_time_ms
         )
+        assert deep.market_time_critical_path_ms < deep.market_time_ms
+
+    def test_pool_counts_survive_concurrent_calls(self):
+        """Every call either opens or reuses a connection, and every
+        connection ends up idle again: a lost update to the per-seller
+        idle count breaks one of the two equalities."""
+        market = tiny_weather_market(days=10, tuples_per_transaction=5)
+        metrics = MetricsRegistry()
+        transport = MarketTransport(market, metrics=metrics)
+        request = RestRequest(
+            "WHW", "Weather", (AttributeConstraint("StationID", value=1),)
+        )
+        threads_count, calls_each = 16, 50
+        errors = []
+
+        def worker():
+            try:
+                for __ in range(calls_each):
+                    transport.fetch(request)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker) for __ in range(threads_count)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        snapshot = metrics.snapshot()
+        opened = snapshot.get("connections_opened", 0.0)
+        reused = snapshot.get("connections_reused", 0.0)
+        assert opened + reused == threads_count * calls_each
+        assert 1 <= opened <= threads_count
+        assert {
+            seller: len(idle)
+            for seller, idle in transport._idle_connections.items()
+        } == {"whw": opened}
 
     def test_negative_setup_rejected(self):
         from repro.errors import MarketError
@@ -214,13 +360,29 @@ class TestConnectionSetup:
 
 class TestPrefetch:
     def test_prefetch_consumed_and_free_of_waste(self):
-        payless = _payless("async", use_theorems=False)
+        payless = _payless(DEEP, use_theorems=False)
         try:
+            # Real sleeps keep both prefetched accesses in flight at once.
+            payless.market.latency = LatencyModel(
+                round_trip_ms=20.0, per_transaction_ms=0.0, realtime_scale=1.0
+            )
             result = payless.query(JOIN_SQL)
             assert result.stats.prefetch_hits == 2  # both accesses
             snapshot = payless.metrics.snapshot()
             assert snapshot.get("prefetch_hits") == 2.0
             assert snapshot.get("prefetch_wasted_dollars", 0.0) == 0.0
+            # The in-flight gauge counts across the executor's batches, so
+            # the overlapping prefetches exceed the larger single batch.
+            assert (
+                snapshot["fetch_pool_high_water_max"]
+                > snapshot["fetch_batch_size_max"]
+            )
+            # Both accesses started at query start, so the critical path
+            # is shorter than their serial sum.
+            stats = result.stats
+            assert (
+                stats.market_time_critical_path_ms < stats.market_time_ms
+            )
             want = sorted(
                 oracle_evaluate(payless, JOIN_SQL).rows, key=repr
             )
@@ -229,14 +391,15 @@ class TestPrefetch:
             payless.close()
 
     def test_failed_query_drains_prefetched_purchases(self):
-        clean = _payless("async", use_theorems=False)
+        threads_before = set(threading.enumerate())
+        clean = _payless(DEEP, use_theorems=False)
         try:
             clean.query(JOIN_SQL)
             clean_total = clean.market.ledger.total_price
         finally:
             clean.close()
 
-        payless = _payless("async", use_theorems=False)
+        payless = _payless(DEEP, use_theorems=False)
         market = payless.market
         original = market.get
 
@@ -268,9 +431,14 @@ class TestPrefetch:
         finally:
             market.get = original
             payless.close()
+        # Closing the installation stopped the fetch threads the failed
+        # query and its retry ran on.
+        assert _new_fetch_threads(threads_before) == []
 
     def test_prefetch_can_be_disabled(self):
-        payless = _payless("async", prefetch=False)
+        payless = _payless(
+            dict(DEEP, prefetch=False), use_theorems=False
+        )
         try:
             result = payless.query(JOIN_SQL)
             assert result.stats.prefetch_hits == 0
@@ -283,39 +451,40 @@ class TestPrefetch:
 
 class TestLifecycleAndValidation:
     def test_close_is_idempotent_and_restartable(self):
-        payless = _payless("async")
+        threads_before = set(threading.enumerate())
+        payless = _payless(DEEP)
         try:
-            first = payless.query(WEATHER_SQL, (1, 3))
-            aio = payless.context.async_transport
-            aio.close()
-            aio.close()  # idempotent
-            # A query after close lazily restarts the loop (fresh pools).
-            second = payless.query(WEATHER_SQL, (4, 6))
+            first = payless.query(WEATHER_SQL, (4, 5))
+            payless.close()
+            payless.close()  # idempotent
+            # A query after close borrows a fresh fetch pool for its two
+            # remainder calls (either side of the first window).
+            second = payless.query(WEATHER_SQL, (1, 10))
+            assert second.stats.calls == 2
             assert first.stats.complete and second.stats.complete
         finally:
             payless.close()
             payless.close()
+        assert _new_fetch_threads(threads_before) == []
 
     def test_transport_mode_validated(self):
-        with pytest.raises(PlanningError):
-            QueryOptions(transport_mode="carrier-pigeon")
-        with pytest.raises(PlanningError):
-            QueryOptions(async_pool_size=0)
+        # The driver knobs are gone: the old spellings are rejected
+        # instead of silently ignored (README migration table).
+        with pytest.raises(TypeError):
+            QueryOptions(transport_mode="async")
+        with pytest.raises(TypeError):
+            QueryOptions(async_pool_size=64)
 
     def test_pool_size_validated(self):
-        payless = _payless("threaded")
-        try:
-            with pytest.raises(ValueError):
-                AsyncMarketTransport(
-                    payless.context.transport, pool_size=0
-                )
-        finally:
-            payless.close()
+        with pytest.raises(PlanningError):
+            QueryOptions(max_concurrent_calls=0)
 
     def test_threaded_stays_the_default(self):
-        assert QueryOptions().transport_mode == "threaded"
-        payless = _payless("threaded")
+        assert QueryOptions().max_concurrent_calls is None
+        assert QueryOptions().prefetch is True
+        payless = _payless({})
         try:
-            assert payless.context.async_transport is None
+            assert payless.context.max_concurrent_calls == 4
+            assert not hasattr(payless.context, "async_transport")
         finally:
             payless.close()

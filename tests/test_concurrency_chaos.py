@@ -55,10 +55,17 @@ DATA = generate_weather_workload(
 
 SESSIONS = 4
 
+#: The fetch driver's two ends: one call at a time with no prefetch, and
+#: 64 calls in flight with cross-access prefetch.
+FETCH_CONFIGS = {
+    "serial": dict(max_concurrent_calls=1, prefetch=False),
+    "deep": dict(max_concurrent_calls=64, prefetch=True),
+}
+
 
 def _fresh_payless(
     transport: TransportConfig | None = None,
-    transport_mode: str = "threaded",
+    fetch: str | None = None,
 ) -> PayLess:
     market = DataMarket()
     for dataset in DATA.datasets:
@@ -68,7 +75,7 @@ def _fresh_payless(
         local_db=DATA.local_database(),
         transport=transport,
         metrics=MetricsRegistry(),
-        options=QueryOptions(transport_mode=transport_mode),
+        options=QueryOptions(**FETCH_CONFIGS.get(fetch, {})),
     )
     for dataset in DATA.datasets:
         payless.register_dataset(dataset.name)
@@ -113,11 +120,11 @@ def _run(
     coalesce: bool,
     transport: TransportConfig | None = None,
     session_max_inflight: int = 2,
-    transport_mode: str = "threaded",
+    fetch: str | None = None,
 ):
     """One fresh installation through the scheduler; results in submit
     order (so runs are comparable query-by-query)."""
-    payless = _fresh_payless(transport, transport_mode=transport_mode)
+    payless = _fresh_payless(transport, fetch=fetch)
     config = ServeConfig(
         workers=workers,
         coalesce=coalesce,
@@ -129,25 +136,24 @@ def _run(
             for session, params in workload
         ]
         results = [ticket.result(timeout=120.0) for ticket in tickets]
-    payless.close()  # stops the async loop when one is attached
+    payless.close()
     return payless, scheduler, results
 
 
 class TestChaosBillingInvariance:
-    @pytest.mark.parametrize("transport_mode", ["threaded", "async"])
+    @pytest.mark.parametrize("fetch", sorted(FETCH_CONFIGS))
     @pytest.mark.parametrize("seed", [7, 23, 101])
-    def test_faults_do_not_change_the_bill(self, seed, transport_mode):
+    def test_faults_do_not_change_the_bill(self, seed, fetch):
         workload = _shared_workload()
         calm_payless, __, calm_results = _run(
-            workload, workers=8, coalesce=True,
-            transport_mode=transport_mode,
+            workload, workers=8, coalesce=True, fetch=fetch,
         )
         faults = FaultPolicy.uniform(seed=seed, rate=0.4)
         assert faults.max_consecutive_faults == 3  # < max_retries below
         chaotic = TransportConfig(faults=faults, max_retries=5)
         chaos_payless, scheduler, chaos_results = _run(
             workload, workers=8, coalesce=True, transport=chaotic,
-            transport_mode=transport_mode,
+            fetch=fetch,
         )
 
         # Chaos actually happened, and every fault was absorbed.
@@ -212,16 +218,16 @@ class TestChaosBillingInvariance:
 
 
 class TestDeterminismAcrossWorkers:
-    @pytest.mark.parametrize("transport_mode", ["threaded", "async"])
-    def test_workers_1_and_8_agree_exactly(self, transport_mode):
+    @pytest.mark.parametrize("fetch", sorted(FETCH_CONFIGS))
+    def test_workers_1_and_8_agree_exactly(self, fetch):
         workload = _disjoint_workload()
         serial_payless, __, serial_results = _run(
             workload, workers=1, coalesce=False, session_max_inflight=1,
-            transport_mode=transport_mode,
+            fetch=fetch,
         )
         parallel_payless, __, parallel_results = _run(
             workload, workers=8, coalesce=False, session_max_inflight=1,
-            transport_mode=transport_mode,
+            fetch=fetch,
         )
         assert len(serial_results) == len(parallel_results)
         for serial, parallel in zip(serial_results, parallel_results):
